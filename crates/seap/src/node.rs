@@ -281,8 +281,10 @@ impl SeapNode {
             .collect()
     }
 
-    fn delegate_k(&mut self, from: NodeId, msg: KMsg, ctx: &mut Ctx<SeapMsg>) {
-        // Split borrows: temporarily take the embedded instance.
+    /// The embedded KSelect instance, created over this node's heap keys on
+    /// first use in a phase. Borrowed in place: it is large, and `WrapOut`
+    /// borrows only the context, so nothing needs to move it out of `self`.
+    fn kselect(&mut self) -> &mut KSelectNode {
         if self.ks.is_none() {
             let cands = self.heap_keys();
             self.ks = Some(KSelectNode::new(
@@ -291,16 +293,20 @@ impl SeapNode {
                 self.cfg.seed ^ self.phase.wrapping_mul(0x9E37_79B9),
             ));
         }
-        let mut ks = self.ks.take().expect("just ensured");
-        {
-            let mut out = WrapOut {
+        self.ks.as_mut().expect("just ensured")
+    }
+
+    fn delegate_k(&mut self, from: NodeId, msg: KMsg, ctx: &mut Ctx<SeapMsg>) {
+        let ks = self.kselect();
+        ks.handle_message(
+            from,
+            msg,
+            &mut WrapOut {
                 ctx,
                 wrap: SeapMsg::K,
-            };
-            ks.handle_message(from, msg, &mut out);
-        }
+            },
+        );
         let finished = ks.result;
-        self.ks = Some(ks);
         if self.view.is_anchor() {
             if let Some(key_k) = finished {
                 let a = self.anchor.as_mut().expect("anchor state");
@@ -604,24 +610,17 @@ impl SeapNode {
                 let kcfg = self.cfg.kselect;
                 ctx.phase_mark("seap.kselect", phase);
                 // The anchor's embedded instance starts the selection.
-                if self.ks.is_none() {
-                    let cands = self.heap_keys();
-                    self.ks = Some(KSelectNode::new(
-                        self.view.clone(),
-                        cands,
-                        self.cfg.seed ^ self.phase.wrapping_mul(0x9E37_79B9),
-                    ));
-                }
-                let mut ks = self.ks.take().expect("just ensured");
-                {
-                    let mut out = WrapOut {
+                let ks = self.kselect();
+                ks.start_select(
+                    m,
+                    k_eff,
+                    kcfg,
+                    &mut WrapOut {
                         ctx,
                         wrap: SeapMsg::K,
-                    };
-                    ks.start_select(m, k_eff, kcfg, &mut out);
-                }
+                    },
+                );
                 let finished = ks.result;
-                self.ks = Some(ks);
                 if let Some(key_k) = finished {
                     // Single-node clusters finish synchronously.
                     let a = self.anchor.as_mut().expect("anchor state");

@@ -13,7 +13,8 @@
 //! test suite also exercises the paper's definitions *as stated*, and so a
 //! hypothetical protocol bug would be reported in the paper's vocabulary.
 
-use dpq_core::{History, MatchSet, OpKind, OpRecord, OpReturn};
+use dpq_core::{History, MatchSet, OpId, OpKind, OpRecord, OpReturn};
+use std::collections::HashMap;
 
 /// Which property failed, with the witnesses involved.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,7 +58,8 @@ impl std::fmt::Display for HeapViolation {
     }
 }
 
-/// Check all three properties of Definition 1.2. O(S log S).
+/// Check all three properties of Definition 1.2. O(S log S): one sort by
+/// witness, then hash lookups by op id.
 pub fn check_heap_properties(history: &History) -> Result<(), HeapViolation> {
     let matching: MatchSet = history
         .matching()
@@ -74,12 +76,14 @@ pub fn check_heap_properties(history: &History) -> Result<(), HeapViolation> {
     }
     ops.sort_by_key(|r| r.witness.expect("filtered"));
 
-    let witness_of = |id| -> u64 {
-        ops.iter()
-            .find(|r| r.id == id)
-            .and_then(|r| r.witness)
-            .expect("matched ops are recorded")
-    };
+    // One index by op id, so each matched pair costs a hash lookup rather
+    // than a scan of S. The first record in ≺ order wins, as a scan would.
+    let mut by_id: HashMap<OpId, &OpRecord> = HashMap::with_capacity(ops.len());
+    for r in &ops {
+        by_id.entry(r.id).or_insert(r);
+    }
+    let record_of = |id: OpId| -> &OpRecord { by_id.get(&id).expect("matched ops are recorded") };
+    let witness_of = |id| record_of(id).witness.expect("filtered");
 
     // Property (1).
     for (del, ins) in &matching.by_delete {
@@ -99,16 +103,12 @@ pub fn check_heap_properties(history: &History) -> Result<(), HeapViolation> {
     // inserts seen so far must not undercut the matched insert's priority.
     let mut open_pairs: u64 = 0;
     let mut min_unmatched_ins: Option<(u64, u64)> = None; // (prio, witness)
-    let mut ins_prio_of_del = std::collections::HashMap::new();
+    let mut ins_prio_of_del = HashMap::with_capacity(matching.by_delete.len());
     for (del, ins) in &matching.by_delete {
-        let prio = ops
-            .iter()
-            .find(|r| r.id == *ins)
-            .map(|r| match r.kind {
-                OpKind::Insert(e) => e.prio.0,
-                OpKind::DeleteMin => unreachable!("matching maps deletes to inserts"),
-            })
-            .expect("matched insert recorded");
+        let prio = match record_of(*ins).kind {
+            OpKind::Insert(e) => e.prio.0,
+            OpKind::DeleteMin => unreachable!("matching maps deletes to inserts"),
+        };
         ins_prio_of_del.insert(*del, (prio, witness_of(*ins)));
     }
 

@@ -28,6 +28,13 @@
 //!   `timeout` logical time units have passed since the last send — under
 //!   fair activation every surviving link eventually delivers, so a plan
 //!   whose faults all heal cannot stall a run;
+//! * the retransmission timer is a deadline: the node keeps a lower bound
+//!   on the earliest `last_sent + timeout` over its buffer, and an
+//!   activation before that bound costs O(1) — only an activation at or
+//!   past it walks the buffers (and recomputes the bound exactly). Acks
+//!   only shrink the buffer, so a stale bound costs at most one walk that
+//!   finds nothing due; it is never late, so the frames sent are exactly
+//!   those a walk on every activation would send;
 //! * [`Reliable::done`] holds only when the inner protocol is done *and*
 //!   every send has been acked, which keeps the schedulers' quiescence
 //!   detection honest under in-flight loss.
@@ -182,6 +189,12 @@ where
     tx: Vec<(NodeId, TxLink<P::Msg>)>,
     /// Per-source receiver links, sorted by peer id.
     rx: Vec<(NodeId, RxLink)>,
+    /// Lower bound on `last_sent + timeout` over every unacked payload
+    /// (`u64::MAX` when the last walk found none and nothing was sent
+    /// since): no payload is due before it, so activations before it skip
+    /// the walk. Derived from `tx` — excluded from the state hash, like
+    /// `stats`.
+    next_due: u64,
     /// Transport counters.
     pub stats: ReliableStats,
     /// Ack round-trip histogram (logical time from last transmission of a
@@ -220,6 +233,7 @@ where
             timeout,
             tx: Vec::new(),
             rx: Vec::new(),
+            next_due: u64::MAX,
             stats: ReliableStats::default(),
             rtt: None,
         }
@@ -320,6 +334,7 @@ where
             let seq = link.next_seq;
             link.next_seq += 1;
             link.unacked.push((seq, env.msg.clone(), now));
+            self.next_due = self.next_due.min(now.saturating_add(self.timeout));
             self.stats.sent += 1;
             ctx.send(env.dst, ReliableMsg::Data { seq, msg: env.msg });
         }
@@ -335,11 +350,17 @@ where
 
     fn on_activate(&mut self, ctx: &mut Ctx<Self::Msg>) {
         self.run_inner(ctx, |p, c| p.on_activate(c));
+        let now = ctx.now();
+        if now < self.next_due {
+            // Every payload has `now < next_due <= last_sent + timeout`:
+            // nothing is due, so there is nothing to walk.
+            return;
+        }
         // Retransmit overdue payloads straight out of the buffers — links in
         // peer order, payloads in seq order, so every downstream trace is
-        // deterministic.
-        let now = ctx.now();
+        // deterministic — and take the exact next deadline on the way.
         let timeout = self.timeout;
+        let mut next_due = u64::MAX;
         for (dst, link) in &mut self.tx {
             for (seq, msg, last_sent) in &mut link.unacked {
                 if now.saturating_sub(*last_sent) >= timeout {
@@ -353,8 +374,10 @@ where
                         },
                     );
                 }
+                next_due = next_due.min(last_sent.saturating_add(timeout));
             }
         }
+        self.next_due = next_due;
     }
 
     fn on_message(&mut self, from: NodeId, msg: Self::Msg, ctx: &mut Ctx<Self::Msg>) {
@@ -407,7 +430,8 @@ where
         // Payloads are approximated by their encoded size: `P::Msg` need
         // not implement StateHash, and the inner protocol state plus the
         // (dst, seq, last-sent) structure disambiguates almost everything
-        // a bit count leaves ambiguous. `stats` is telemetry — excluded.
+        // a bit count leaves ambiguous. `stats` is telemetry and `next_due`
+        // is derived from the buffers — both excluded.
         self.inner.state_hash(h);
         h.write_u64(self.tx.len() as u64);
         for (dst, link) in &self.tx {

@@ -85,8 +85,10 @@ where
 /// maps the tick axis onto it with a fixed exchange rate of
 /// `steps_per_tick` steps per simulated tick (so node count and message
 /// volume set the real density, exactly like `rate` does for rounds).
-/// Latency is still stamped at the scheduled arrival tick — metrics from
-/// sync and async runs of the same schedule share a time axis.
+/// The scheduler stamps completions in steps, so each op's latency clock
+/// starts at its arrival *step*, `tick × steps_per_tick`, and the
+/// scheduler's latencies come out in steps (divide by `steps_per_tick` for
+/// ticks).
 pub fn drive_async<P, T, D, M>(
     sched: &mut dpq_sim::AsyncScheduler<P, T, D, M>,
     schedule: &Schedule,
@@ -110,7 +112,7 @@ where
         while next < schedule.injections.len() && schedule.injections[next].tick <= now_tick {
             let inj = schedule.injections[next];
             let op = issue(sched.node_mut(inj.node), &inj);
-            sched.note_injected_at(op, inj.tick);
+            sched.note_injected_at(op, inj.tick * steps_per_tick);
             next += 1;
         }
         sched.step_once();

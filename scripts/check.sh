@@ -9,6 +9,7 @@
 #   ./scripts/check.sh net       # the above, plus the wire-conformance smoke
 #   ./scripts/check.sh churn     # the above, plus the bounded churn storm
 #   ./scripts/check.sh workload  # the above, plus the E19 open-loop smoke
+#   ./scripts/check.sh bench     # the above, plus a short run of every benchmark workload
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -139,6 +140,30 @@ fi
 # a nonzero exit here means the semantics regressed, not just the harness.
 if [ "$TIER" = "workload" ]; then
   cargo run -q -p dpq-bench --release --bin experiments -- e19 --workload scripts/workload-smoke.toml
+fi
+
+# Benchmark tier (opt-in: `./scripts/check.sh bench`): a 2-second run of
+# each workload BENCHMARK.json declares, plus one traced run. perfbench/ is
+# a workspace of its own that builds against the crates by path and reads
+# their public surface (node histories and shards, `NodeHistory` literals,
+# `Reliable::stats`), so an API change that breaks it fails here rather
+# than first in the benchmark pipeline. Every run checks its own results
+# (witness replay, rank error 0, conservation, traced == untraced) and must
+# end on a result line reading `"correct": true`.
+if [ "$TIER" = "bench" ]; then
+  bench_run() {
+    local line
+    line=$(python3 perfbench/run.py --seed 1 --seconds 2 "$@" | tail -n 1) || true
+    echo "$line"
+    case "$line" in
+      *'"correct": true'*) ;;
+      *) echo "bench tier: run $* did not report \"correct\": true" >&2; exit 1 ;;
+    esac
+  }
+  for w in sim-skeap-sync sim-seap-sync sim-skeap-async-faulty wire-skeap-uds; do
+    bench_run --workload "$w" --trace 0
+  done
+  bench_run --workload sim-skeap-async-faulty --trace 1
 fi
 
 # Coverage tier (opt-in: `./scripts/check.sh coverage`): per-crate line
